@@ -71,8 +71,9 @@ type exploreWS struct {
 	// the same workspace, which reuses it.
 	kids []*regionNode
 	free []*regionNode
-	hb      *hull.Builder    // pooled L_upd hull builder (Reset per partition)
-	upd     hull.AdjSnapshot // pooled L_upd members+adjacency extraction
+	hb   *hull.Builder    // pooled L_upd hull builder (Reset per partition)
+	upd  hull.AdjSnapshot // pooled L_upd members+adjacency extraction
+	key  []byte           // GeoCache key of the candidate set
 }
 
 // node returns a recycled regionNode (fields reset, buffers retained) or a
@@ -109,7 +110,8 @@ func (ws *exploreWS) recycle(n *regionNode) {
 type explorer struct {
 	w      geom.Vector
 	k      int
-	layers *hull.Layers
+	layers *layerView
+	geo    *GeoCache
 	h      xheap.Heap[*regionNode]
 	pushed map[int]bool   // layer-0 members whose top-region was pushed
 	clip   *region.Region // nil: unrestricted (ball mode)
@@ -124,18 +126,14 @@ type explorer struct {
 	noBypass bool // ablation: always build L_upd hulls, even for tiny unions
 }
 
-// newExplorer builds an explorer over the candidate records.
-func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Region) *explorer {
-	ids := make([]int, len(cands))
-	pts := make([]geom.Vector, len(cands))
-	for i, c := range cands {
-		ids[i] = c.ID
-		pts[i] = c.Point
-	}
+// newExplorer builds an explorer over the candidate layers, reading and
+// filling the hull cache geo.
+func newExplorer(set *layerSet, geo *GeoCache, w geom.Vector, k int, clip *region.Region) *explorer {
 	return &explorer{
 		w:      w,
 		k:      k,
-		layers: hull.NewLayers(ids, pts),
+		layers: &layerView{set: set},
+		geo:    geo,
 		pushed: make(map[int]bool),
 		clip:   clip,
 		outSet: make(map[int]bool),
@@ -452,19 +450,26 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 			return others
 		}
 	} else {
-		// Pooled builder: the facet free list and point arena stay warm
-		// across the thousands of partition calls of one exploration.
-		if ws.hb == nil {
-			ws.hb = hull.NewBuilder(len(e.w))
-		} else {
-			ws.hb.Reset(len(e.w))
+		// The hull is a function of the candidate set alone, and candidate
+		// sets recur within and across queries: look it up first. A miss
+		// builds outside the cache lock with the pooled builder, whose facet
+		// free list and point arena stay warm across partition calls.
+		ws.key = appendHullKey(ws.key[:0], ids)
+		upd := e.geo.hull(ws.key)
+		if upd == nil {
+			if ws.hb == nil {
+				ws.hb = hull.NewBuilder(len(e.w))
+			} else {
+				ws.hb.Reset(len(e.w))
+			}
+			for _, id := range ids {
+				ws.hb.Add(id, e.layers.Point(id))
+			}
+			ws.hb.UpperAdjInto(&ws.upd)
+			upd = e.geo.putHull(ws.key, ws.upd.Clone())
 		}
-		for _, id := range ids {
-			ws.hb.Add(id, e.layers.Point(id))
-		}
-		ws.hb.UpperAdjInto(&ws.upd)
-		memberIDs = ws.upd.MemberIDs
-		adjOf = ws.upd.Adj
+		memberIDs = upd.MemberIDs
+		adjOf = upd.Adj
 	}
 	children := ws.kids[:0]
 	for _, id := range memberIDs {
@@ -489,7 +494,7 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 // same buffer.
 //
 //ordlint:noalloc
-func beatAllScratch(ls *hull.Layers, id int, others []int, hs []region.Halfspace, back []float64) ([]region.Halfspace, []float64) {
+func beatAllScratch(ls *layerView, id int, others []int, hs []region.Halfspace, back []float64) ([]region.Halfspace, []float64) {
 	if len(others) == 0 {
 		return hs, back
 	}
@@ -588,9 +593,10 @@ func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target
 // This is the complete algorithm of Section 5.3: rho-bar estimation via the
 // incremental rho-skyline, candidate restriction to the rho-bar-skyband,
 // and best-first exploration of the implicit region tree with lazily
-// computed upper-hull layers. Should the estimate ever prove too small
-// (possible only on degenerate inputs), the estimation target is doubled
-// and the search restarted, preserving exactness.
+// computed upper-hull layers. Should the estimate prove too small — the
+// exploration runs out of candidates, or it completes at a radius beyond
+// rho-bar, where candidates were cut off — the estimation target is
+// doubled and the search restarted, preserving exactness.
 func ORU(tree *rtree.Tree, w geom.Vector, k, m int) (*ORUResult, error) {
 	return ORUWithCtx(context.Background(), tree, w, k, m, ORUOptions{})
 }
@@ -613,6 +619,11 @@ type ORUOptions struct {
 	// direction of Section 6.4. The output is identical to the sequential
 	// algorithm; only wall-clock changes.
 	Workers int
+	// Cache shares seed-independent geometry across the queries of one
+	// dataset state (see GeoCache); the caller must replace it whenever
+	// the tree changes. nil gives the query a private cache. The output
+	// is identical either way.
+	Cache *GeoCache
 }
 
 // ORUWith is ORU with explicit algorithm options.
@@ -625,19 +636,22 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
 	}
-	target := m
-	for {
+	geo := opts.Cache
+	if geo == nil {
+		geo = NewGeoCache()
+	}
+	for target := m; ; target *= 2 {
 		rhoBar, exhausted, fetched, err := estimateRhoBar(ctx, tree, w, target)
 		if err != nil {
 			return nil, err
 		}
-		cands, err := skyband.RhoSkybandCtx(ctx, tree, w, k, rhoBar)
+		set, size, err := candidates(ctx, geo, tree, w, k, rhoBar, exhausted)
 		if err != nil {
 			return nil, err
 		}
-		ex := newExplorer(cands, w, k, nil)
+		ex := newExplorer(set, geo, w, k, nil)
 		ex.noBypass = opts.NoPartitionBypass
-		ex.stats.Fetched = fetched + len(cands)
+		ex.stats.Fetched = fetched + size
 		if ex.seed() {
 			var complete bool
 			var exErr error
@@ -649,16 +663,36 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 			if exErr != nil {
 				return nil, exErr
 			}
-			if complete {
-				ex.stats.LayersComputed = ex.layers.Computed()
-				return ex.result(), nil
+			if res := ex.result(); complete && res.Rho <= rhoBar {
+				return res, nil
 			}
 		}
 		if exhausted {
 			return nil, ErrInsufficientData
 		}
-		target *= 2
 	}
+}
+
+// candidates returns ORU's candidate records for the estimate rhoBar as
+// lazily peeled layers, with their count: the rhoBar-skyband, or — when the
+// estimate is exhausted and rhoBar is +Inf — the whole k-skyband, which is
+// the same for every seed and so is shared through geo.
+func candidates(ctx context.Context, geo *GeoCache, tree *rtree.Tree, w geom.Vector, k int, rhoBar float64, exhausted bool) (*layerSet, int, error) {
+	if exhausted {
+		if b := geo.band(k); b != nil {
+			return b.layers, b.size, nil
+		}
+	}
+	cands, err := skyband.RhoSkybandCtx(ctx, tree, w, k, rhoBar)
+	if err != nil {
+		return nil, 0, err
+	}
+	set := newLayerSet(cands)
+	if !exhausted {
+		return set, len(cands), nil
+	}
+	b := geo.putBand(k, &bandEntry{size: len(cands), layers: set})
+	return b.layers, b.size, nil
 }
 
 // result assembles the ORUResult from the explorer state.
@@ -668,6 +702,7 @@ func (e *explorer) result() *ORUResult {
 		Regions: e.regions,
 		Stats:   e.stats,
 	}
+	res.Stats.LayersComputed = e.layers.computed()
 	if len(e.regions) > 0 {
 		res.Rho = e.regions[len(e.regions)-1].MinDist
 	}
@@ -681,7 +716,7 @@ func (e *explorer) result() *ORUResult {
 // powers the fixed-region JAA adaptation used as the paper's ORU
 // competitor (Section 6.3).
 func EnumerateWithin(cands []skyband.Member, w geom.Vector, k int, clip region.Region) ([]Record, []TopKRegion, error) {
-	ex := newExplorer(cands, w, k, &clip)
+	ex := newExplorer(newLayerSet(cands), NewGeoCache(), w, k, &clip)
 	if !ex.seed() {
 		return nil, nil, nil
 	}
@@ -698,22 +733,35 @@ func EnumerateWithin(cands []skyband.Member, w geom.Vector, k int, clip region.R
 // closest regions — no gradual expansion in either radius or layer depth.
 // budget caps the number of partitionings (0 = unlimited); when exceeded,
 // ErrBudgetExceeded is returned, the analogue of the paper's DNF entries.
+// Like ORU, it doubles the estimation target and starts over when the
+// estimate proves too small.
 func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
 	}
-	rhoBar, _, fetched, err := estimateRhoBar(context.Background(), tree, w, m)
-	if err != nil {
-		return nil, err
+	for target := m; ; target *= 2 {
+		rhoBar, exhausted, fetched, err := estimateRhoBar(context.Background(), tree, w, target)
+		if err != nil {
+			return nil, err
+		}
+		res, err := oruBSLWithin(tree, w, k, m, budget, rhoBar, fetched)
+		short := errors.Is(err, ErrInsufficientData) || (err == nil && res.Rho > rhoBar)
+		if exhausted || !short {
+			return res, err
+		}
 	}
+}
+
+// oruBSLWithin runs one ORU-BSL pass over the rhoBar-skyband.
+func oruBSLWithin(tree *rtree.Tree, w geom.Vector, k, m, budget int, rhoBar float64, fetched int) (*ORUResult, error) {
 	cands := skyband.RhoSkyband(tree, w, k, rhoBar)
-	ex := newExplorer(cands, w, k, nil)
+	ex := newExplorer(newLayerSet(cands), NewGeoCache(), w, k, nil)
 	ex.stats.Fetched = fetched + len(cands)
 	ex.budget = budget
 	// Materialise all layers upfront (the baseline's defining waste).
 	for t := 0; ex.layers.Layer(t) != nil; t++ {
 	}
-	ex.stats.LayersComputed = ex.layers.Computed()
+	ex.stats.LayersComputed = ex.layers.computed()
 	l0 := ex.layers.Layer(0)
 	if l0 == nil {
 		return nil, ErrInsufficientData
@@ -733,15 +781,12 @@ func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, 
 	seen := map[int]bool{}
 	for _, reg := range ex.regions {
 		res.Regions = append(res.Regions, reg)
-		added := false
 		for _, r := range reg.TopK {
 			if !seen[r.ID] {
 				seen[r.ID] = true
 				res.Records = append(res.Records, r)
-				added = true
 			}
 		}
-		_ = added
 		res.Rho = reg.MinDist
 		if len(res.Records) >= m {
 			break

@@ -957,6 +957,17 @@ func (s *AdjSnapshot) Adj(id int) []int {
 	return s.adjIDs[s.adjOff[i]:s.adjOff[i+1]]
 }
 
+// Clone returns a copy of s that owns exact-size buffers of its own. A
+// clone is never written by UpperAdjInto, so it may be shared read-only
+// across goroutines.
+func (s *AdjSnapshot) Clone() *AdjSnapshot {
+	return &AdjSnapshot{
+		MemberIDs: append([]int(nil), s.MemberIDs...),
+		adjOff:    append([]int32(nil), s.adjOff...),
+		adjIDs:    append([]int(nil), s.adjIDs...),
+	}
+}
+
 // UpperAdjInto extracts the current upper hull's members and member
 // adjacency into s, reusing both the snapshot's and the builder's buffers.
 // Membership follows exactly the criterion of Upper (fast facet-normal path,

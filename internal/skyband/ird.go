@@ -31,9 +31,9 @@ type IRD struct {
 	sc *Scanner
 	pr *SkybandPruner
 
-	t       []Member                 // fetched k-skyband records, in decreasing score order
-	tRadii  []float64                // inflection radius of each t entry
-	pending xheap.Heap[pendItem]     // fetched but not yet released, keyed by inflection radius
+	t       []Member             // fetched k-skyband records, in decreasing score order
+	tRadii  []float64            // inflection radius of each t entry
+	pending xheap.Heap[pendItem] // fetched but not yet released, keyed by inflection radius
 	bounds  xheap.Heap[*boundEntry]
 	live    map[uint64]*boundEntry
 
@@ -108,28 +108,37 @@ func (ird *IRD) inflectionOf(p geom.Vector) float64 {
 	return InflectionRadiusInPlace(mindists, ird.k)
 }
 
-// boundAtLeast reports whether the inflection radius of p against the
-// current T is at least x, with early exit once k covering intervals are
-// found (each interval [0, mindist] with mindist >= x counts).
-func (ird *IRD) boundAtLeast(p geom.Vector, x float64) bool {
+// boundAtLeast proves, when it can, that the inflection radius of p against
+// the current T is at least x, and returns the bound it proved. Each record
+// of T covers the radii [0, mindist] (all radii, for a dominator); the scan
+// stops at the k-th interval covering x, and the smallest of those k
+// mindists is a lower bound on the k-th largest one, the inflection radius.
+// That bound is at least x, and +Inf when all k are dominators.
+func (ird *IRD) boundAtLeast(p geom.Vector, x float64) (float64, bool) {
 	count := 0
+	bound := math.Inf(1)
 	for _, t := range ird.t {
-		if t.Point.Dominates(p) || MindistWS(ird.w, p, t.Point, &ird.ws) >= x {
+		md := math.Inf(1)
+		if !t.Point.Dominates(p) {
+			md = MindistWS(ird.w, p, t.Point, &ird.ws)
+		}
+		if md >= x {
+			bound = min(bound, md)
 			count++
 			if count >= ird.k {
-				return true
+				return bound, true
 			}
 		}
 	}
-	return false
+	return 0, false
 }
 
 // boundsClear reports whether every not-yet-fetched record provably has
 // inflection radius at least x. Stored bounds are lower bounds computed
 // against an older T (radii only grow as T grows), so entries are
 // revalidated lazily: only while the minimum stored bound is below x, and
-// each revalidation early-exits at x rather than computing the exact
-// radius.
+// each revalidation early-exits once it has proved x, storing the (often
+// larger) bound it proved so later calls with larger x can skip the entry.
 func (ird *IRD) boundsClear(x float64) bool {
 	for ird.bounds.Len() > 0 {
 		top := *ird.bounds.Peek()
@@ -143,12 +152,13 @@ func (ird *IRD) boundsClear(x float64) bool {
 		if top.tVersion == len(ird.t) {
 			return false // bound is current and below x
 		}
-		if !ird.boundAtLeast(top.pt, x) {
+		b, ok := ird.boundAtLeast(top.pt, x)
+		if !ok {
 			// Genuinely below x at the current T; leave the stored (still
 			// valid) bound in place — the next fetch changes T anyway.
 			return false
 		}
-		top.bound = x // truthful lower bound, confirmed against current T
+		top.bound = b // truthful lower bound, proved against current T
 		top.tVersion = len(ird.t)
 		ird.bounds.Fix(0)
 	}

@@ -49,8 +49,12 @@ import (
 // are immediately visible to subsequent queries without a rebuild. It is
 // not safe for concurrent mutation; concurrent read-only queries are safe,
 // and the serving layer serialises mutations against queries with a lock.
+//
+// ORU queries share seed-independent geometry through geo, which belongs
+// to the current records: every mutator replaces it.
 type Dataset struct {
 	col *collection.Collection
+	geo *core.GeoCache
 }
 
 // tree returns the backing spatial index.
@@ -130,7 +134,7 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ordu: %w", err)
 	}
-	return &Dataset{col: col}, nil
+	return &Dataset{col: col, geo: core.NewGeoCache()}, nil
 }
 
 // Len returns the number of records.
@@ -162,6 +166,7 @@ func (ds *Dataset) Insert(record []float64) (int, error) {
 		return 0, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
 	}
 	id := ds.col.NewID()
+	ds.dropGeometry()
 	if err := ds.col.Insert(id, geom.Vector(record)); err != nil {
 		return 0, err
 	}
@@ -177,6 +182,7 @@ func (ds *Dataset) InsertID(id int, record []float64) error {
 	if len(record) != ds.Dim() {
 		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
 	}
+	ds.dropGeometry()
 	return ds.col.Insert(id, geom.Vector(record))
 }
 
@@ -189,6 +195,7 @@ func (ds *Dataset) Update(id int, record []float64) error {
 	if len(record) != ds.Dim() {
 		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
 	}
+	ds.dropGeometry()
 	return ds.col.Update(id, geom.Vector(record))
 }
 
@@ -200,13 +207,21 @@ func (ds *Dataset) Upsert(id int, record []float64) (updated bool, err error) {
 	if len(record) != ds.Dim() {
 		return false, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
 	}
+	ds.dropGeometry()
 	return ds.col.Upsert(id, geom.Vector(record))
 }
 
 // Delete removes a record by id, reporting whether it existed.
 //
 //ordlint:mutates — condensing underfull nodes reassigns handles; the slot returns to the free list
-func (ds *Dataset) Delete(id int) bool { return ds.col.Delete(id) }
+func (ds *Dataset) Delete(id int) bool {
+	ds.dropGeometry()
+	return ds.col.Delete(id)
+}
+
+// dropGeometry discards the ORU geometry cache ahead of a write: every
+// cached hull and layer set describes the records before it.
+func (ds *Dataset) dropGeometry() { ds.geo = core.NewGeoCache() }
 
 // CountDominators returns how many records strictly dominate the given
 // point (maximisation convention). The serving layer uses it as the cache
@@ -399,10 +414,16 @@ func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (
 	if err := checkKM(k, m); err != nil {
 		return nil, err
 	}
-	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{Workers: workers})
+	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{Workers: workers, Cache: ds.geo})
 	if err != nil {
 		return nil, err
 	}
+	return newORUResult(res, v), nil
+}
+
+// newORUResult converts a core ORU result for the seed v. The records keep
+// aliasing what res aliases.
+func newORUResult(res *core.ORUResult, v geom.Vector) *ORUResult {
 	out := &ORUResult{Rho: res.Rho}
 	for _, r := range res.Records {
 		out.Records = append(out.Records, Result{ID: r.ID, Record: r.Point, Score: v.Dot(r.Point)})
@@ -417,7 +438,7 @@ func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (
 		}
 		out.Regions = append(out.Regions, rt)
 	}
-	return out, nil
+	return out
 }
 
 // Filter returns a new dataset holding only the records within the given
