@@ -7,19 +7,19 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Project-specific static analysis, all twenty-four checks: the syntactic
+# Project-specific static analysis, all twenty-three checks: the syntactic
 # suite (floatcmp, ctxpoll, senterr, nopanic, printguard), the CFG/dataflow
 # suite (wsescape, goroutinecap, poolpair, noalloc), the interprocedural
 # suite (ctxflow, deepnoalloc, lockhold, maporder, borrowck, lockmode,
-# atomicmix), the concurrency suite (chanprotocol, wgbalance, atomicpub,
-# sharedwrite), and the handle suite (handleprov, stridebound, genstale,
+# atomicmix), the concurrency suite (chanprotocol, wgbalance, sharedwrite),
+# and the handle suite (handleprov, stridebound, genstale,
 # narrowcast); exits non-zero on any finding. This target is the single
 # lint invocation: `make test` and CI both go through it.
 lint:
 	$(GO) run ./cmd/ordlint ./...
 
 # Lint wall-time budget: the suite must finish within LINT_BUDGET seconds.
-# The full 24-check run takes ~5s locally (dominated by type-checking the
+# The full 23-check run takes ~5s locally (dominated by type-checking the
 # stdlib closure from source); the default budget is ~4x that plus headroom
 # for slower CI runners. A blown budget means a check went super-linear —
 # catch it here, not by watching CI get slower release by release.
@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/lp -fuzz FuzzSimplexLP -fuzztime 30s
 	$(GO) test ./internal/rtree -fuzz FuzzFlatTreeMutations -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzORU -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzORD -fuzztime 30s
 
 # Start the query server on :8375 with a generated demo dataset.
 serve:

@@ -39,6 +39,10 @@ import (
 	"ordu/internal/server"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 // repeated collects a repeatable string flag.
 type repeated []string
 
@@ -97,14 +101,14 @@ func main() {
 		log.Printf("dataset %q: %d records x %d attributes (%s)", name, ds.Len(), ds.Dim(), g.Dist)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *pprofAddr != "" {
 		// Profiling stays off the query listener: a dedicated mux on a
 		// dedicated (typically loopback-only) address, so pprof is never
 		// reachable through the public API surface.
-		pprofSrv := &http.Server{Addr: *pprofAddr, Handler: pprofMux()}
+		pprofSrv := &http.Server{Addr: *pprofAddr, Handler: pprofMux(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			log.Printf("pprof listening on %s", *pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -24,17 +24,17 @@ type oruAnswer struct {
 	w      []float64
 	k, m   int
 	body   []byte          // handler response body (nil for direct calls)
-	direct *ordu.ORUResult // ds.ORUParallel result (nil for handler calls)
+	direct *ordu.ORUResult // ds.ORU result (nil for handler calls)
 	err    error
 }
 
 // TestGeoCacheUnderConcurrentWrites interleaves ORU queries — through the
-// handler of a two-worker server, and through ORUParallel with four
-// partition workers — with point inserts and deletes on one dataset. After
-// every write batch, each answer must equal a recomputation with a private
-// geometry cache, so a cache entry surviving a write would show up as a
-// mismatch. Run it under -race: the handler readers, the direct readers and
-// the partition workers all share the dataset's cache.
+// handler of a two-worker server, and through concurrent direct ds.ORU
+// calls — with point inserts and deletes on one dataset. After every write
+// batch, each answer must equal a recomputation with a private geometry
+// cache, so a cache entry surviving a write would show up as a mismatch.
+// Run it under -race: the handler readers and the direct readers all share
+// the dataset's cache.
 func TestGeoCacheUnderConcurrentWrites(t *testing.T) {
 	pts := data.Synthetic(data.ANTI, 1500, 3, 7)
 	recs := make([][]float64, len(pts))
@@ -61,10 +61,10 @@ func TestGeoCacheUnderConcurrentWrites(t *testing.T) {
 		p := params[rng.Intn(len(params))]
 		a := oruAnswer{w: geom.RandSimplex(rng, 3), k: p[0], m: p[1]}
 		if direct {
-			a.direct, a.err = ds.ORUParallel(a.w, a.k, a.m, 4)
+			a.direct, a.err = ds.ORU(a.w, a.k, a.m)
 			return a
 		}
-		rec := post("/query/oru", server.QueryRequest{Dataset: "d", W: a.w, K: a.k, M: a.m, Workers: 2})
+		rec := post("/query/oru", server.QueryRequest{Dataset: "d", W: a.w, K: a.k, M: a.m})
 		if rec.Code != http.StatusOK {
 			a.err = fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
 		}
@@ -107,15 +107,16 @@ func TestGeoCacheUnderConcurrentWrites(t *testing.T) {
 		}
 		wg.Wait()
 
-		// Read phase: handler and direct readers share the cache.
-		answers := make([][]oruAnswer, 4)
+		// Read phase: two handler readers and four direct readers share
+		// the cache.
+		answers := make([][]oruAnswer, 6)
 		for g := range answers {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(1000*round + g)))
 				for i := 0; i < 3; i++ {
-					answers[g] = append(answers[g], query(rng, g%2 == 1))
+					answers[g] = append(answers[g], query(rng, g >= 2))
 				}
 			}(g)
 		}
@@ -136,7 +137,7 @@ func TestGeoCacheUnderConcurrentWrites(t *testing.T) {
 				}
 				if a.direct != nil {
 					if !reflect.DeepEqual(a.direct, want) {
-						t.Fatalf("round %d w=%v k=%d m=%d: ORUParallel answer differs from the private-cache answer", round, a.w, a.k, a.m)
+						t.Fatalf("round %d w=%v k=%d m=%d: direct ORU answer differs from the private-cache answer", round, a.w, a.k, a.m)
 					}
 					continue
 				}

@@ -16,7 +16,7 @@ var fixtureNames = []string{
 	"wsescape", "goroutinecap", "poolpair", "noalloc",
 	"ctxflow", "deepnoalloc", "lockhold", "maporder",
 	"borrowck", "lockmode", "atomicmix",
-	"chanprotocol", "wgbalance", "atomicpub", "sharedwrite",
+	"chanprotocol", "wgbalance", "sharedwrite",
 	"handleprov", "stridebound", "genstale", "narrowcast",
 }
 
@@ -89,8 +89,6 @@ func fixtureConfig(name string) Config {
 		return Config{} // module-wide fact collection; no scoping needed
 	case "chanprotocol", "wgbalance", "sharedwrite":
 		return Config{ConcPackages: map[string]bool{name: true}}
-	case "atomicpub":
-		return Config{} // unscoped: the publication contract holds everywhere
 	case "handleprov":
 		return Config{
 			HandlePackages: map[string]bool{"handleprov": true},

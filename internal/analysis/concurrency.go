@@ -8,14 +8,14 @@ import (
 )
 
 // This file computes the per-function concurrency facts behind ordlint's
-// happens-before checks (chanprotocol, wgbalance, atomicpub, sharedwrite):
-// channel operations (make/send/recv/close/range, with their select-arm
-// escapes), sync.WaitGroup Add/Done/Wait deltas, and sync/atomic
-// publish/consume sites. Combined with the call graph's go-edges they
-// describe the module's concurrency protocols — which goroutine closes
-// which channel, which Wait joins which Done, which snapshot is published
-// through which atomic.Pointer — precisely enough for the checks to verify
-// counterpart reachability and publication freezing statically.
+// happens-before checks (chanprotocol, wgbalance, sharedwrite): channel
+// operations (make/send/recv/close/range, with their select-arm escapes),
+// sync.WaitGroup Add/Done/Wait deltas, and sync/atomic publish/consume
+// sites. Combined with the call graph's go-edges they describe the
+// module's concurrency protocols — which goroutine closes which channel,
+// which Wait joins which Done — precisely enough for the checks to verify
+// counterpart reachability statically. The atomic sites are reported by
+// `ordlint -stats`.
 //
 // Channel, WaitGroup and atomic operands are abstracted to a *class*: the
 // terminal field or variable name of the operand chain ("out" for s.out,

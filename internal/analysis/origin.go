@@ -30,7 +30,7 @@ type Facts struct {
 	Borrows map[*FuncNode]*BorrowInfo
 	// Conc holds the per-function concurrency summaries (channel ops,
 	// WaitGroup deltas, atomic publish/load sites) behind the concurrency
-	// layer (chanprotocol, wgbalance, atomicpub, sharedwrite).
+	// layer (chanprotocol, wgbalance, sharedwrite) and `ordlint -stats`.
 	Conc map[*FuncNode]*ConcSummary
 	// Handles holds the arena-handle provenance summaries (return/param
 	// classes, mutator and bounded facts) behind the handle layer

@@ -73,8 +73,7 @@ type Config struct {
 	// construction-immutable state and may run without the lock.
 	LockModePure map[string]bool
 	// ConcPackages are the packages whose spawn edges the concurrency
-	// layer (chanprotocol, wgbalance, sharedwrite) verifies. atomicpub
-	// runs everywhere, like atomicmix.
+	// layer (chanprotocol, wgbalance, sharedwrite) verifies.
 	ConcPackages map[string]bool
 	// HandlePackages are the packages whose bodies the handle layer
 	// (handleprov, stridebound, genstale, narrowcast) audits.
@@ -116,14 +115,15 @@ type Config struct {
 //     package (the naming convention plus "not goroutine-safe" doc
 //     phrases), so escaping aliases and annotated kernels are checked
 //     wherever they live;
-//   - goroutinecap audits internal/core and internal/server — the only
-//     packages that spawn goroutines — for workspaces or pooled nodes
-//     (core.regionNode, hull.facet) shared across goroutines;
+//   - goroutinecap audits internal/core, internal/server and
+//     internal/skyband — the packages whose queries own workspaces and
+//     pooled nodes (core.regionNode, hull.facet) — for such state shared
+//     across goroutines;
 //   - poolpair balances the two free lists: the explorer's node pool
 //     (exploreWS.node/recycle) and the hull builder's facet pool
 //     (Builder.allocFacet/freeFacet);
 //   - ctxflow treats every function of internal/server plus the facade's
-//     ORDCtx/ORUCtx/ORUParallelCtx as entry points: whatever a request can
+//     ORDCtx/ORUCtx as entry points: whatever a request can
 //     reach must stay cancellable;
 //   - deepnoalloc accepts math, sort and sync/atomic as allocation-free
 //     stdlib destinations and skips geom.simplexFor, the documented
@@ -136,17 +136,15 @@ type Config struct {
 //     keeps borrows of packed point storage out of the server's result
 //     cache, the one store that outlives requests;
 //   - lockmode audits internal/server, where the per-dataset RWMutex
-//     guards Dataset/Collection/Live calls; Dataset.Dim is pure
+//     guards Dataset/Collection calls; Dataset.Dim is pure
 //     (construction-immutable) and the dataset constructors yield fresh
 //     unpublished objects;
 //   - atomicmix runs everywhere; the module's counters are typed atomics,
 //     so the check guards against regressions to address-based mixing;
 //   - the concurrency layer (chanprotocol, wgbalance, sharedwrite) covers
-//     every package that spawns goroutines today — the parallel frontier
-//     (skyband), the preprocessing explorer (core), the query server and
-//     the live collection it guards, plus the load generator and daemon
-//     commands; atomicpub, like atomicmix, runs everywhere because a
-//     published snapshot is a module-wide contract;
+//     the load generator and daemon commands, which spawn goroutines, and
+//     the query packages (core, skyband), the server and the collection
+//     it guards, where a new goroutine would share query or dataset state;
 //   - the handle layer (handleprov, stridebound, genstale, narrowcast)
 //     covers the flat spatial core and every package that holds its
 //     integer handles — rtree (and the legacy oracle), collection,
@@ -202,9 +200,8 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/server": true,
 		},
 		CtxFlowEntryFuncs: map[string]bool{
-			modulePath + ".Dataset.ORDCtx":         true,
-			modulePath + ".Dataset.ORUCtx":         true,
-			modulePath + ".Dataset.ORUParallelCtx": true,
+			modulePath + ".Dataset.ORDCtx": true,
+			modulePath + ".Dataset.ORUCtx": true,
 		},
 		NoallocExternals: map[string]bool{
 			"math":        true,
@@ -231,14 +228,12 @@ func DefaultConfig(modulePath string) Config {
 		GuardedTypes: map[string]bool{
 			modulePath + ".Dataset":                        true,
 			modulePath + "/internal/collection.Collection": true,
-			modulePath + "/internal/skyband.Live":          true,
 		},
 		FreshFuncs: map[string]bool{
 			modulePath + ".NewDataset":                     true,
 			modulePath + "/internal/server.BuildDataset":   true,
 			modulePath + "/internal/collection.New":        true,
 			modulePath + "/internal/collection.FromPoints": true,
-			modulePath + "/internal/skyband.NewLive":       true,
 		},
 		LockModePure: map[string]bool{
 			modulePath + ".Dataset.Dim": true,
@@ -293,7 +288,6 @@ func DefaultConfig(modulePath string) Config {
 		HandleOwners: map[string]bool{
 			modulePath + ".Dataset":      true,
 			col + ".Collection":          true,
-			modulePath + "/internal/skyband.Live": true,
 			rt + ".Tree":                 true,
 			rt + "/legacy.Tree":          true,
 		},
@@ -306,10 +300,8 @@ func DefaultConfig(modulePath string) Config {
 			rt + ".Tree.slotVec":      true,
 			col + ".Collection.Get":   true,
 			col + ".Collection.at":    true,
-			// Stable by construction: the tree pointer itself, and the
-			// Live's seed vector (fixed at construction).
-			col + ".Collection.Tree":             true,
-			modulePath + "/internal/skyband.Live.Seed": true,
+			// Stable by construction: the tree pointer itself.
+			col + ".Collection.Tree": true,
 		},
 	}
 }
@@ -347,7 +339,6 @@ func NewSuite(cfg Config) *Suite {
 		NewAtomicmix(),
 		NewChanprotocol(cfg.ConcPackages),
 		NewWgbalance(cfg.ConcPackages),
-		NewAtomicpub(),
 		NewSharedwrite(cfg.ConcPackages),
 		NewHandleprov(hc),
 		NewStridebound(hc),

@@ -240,3 +240,165 @@ func FuzzORU(f *testing.F) {
 		}
 	})
 }
+
+// ordFuzzPoints is fuzzPoints plus a fifth shape of coplanar records: the
+// first d-1 coordinates on a 1/8 grid and the last one closing the sum to
+// 1, so every record lies on the plane sum(x) = 1 and many tie in score.
+func ordFuzzPoints(shape uint8, n, d int, seed int64) []geom.Vector {
+	if shape%5 < 4 {
+		return fuzzPoints(shape%5, n, d, seed)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Vector, n)
+	for i := range pts {
+		p := make(geom.Vector, d)
+		rest := 8
+		for j := 0; j < d-1; j++ {
+			c := rng.Intn(rest + 1)
+			p[j] = float64(c) / 8
+			rest -= c
+		}
+		p[d-1] = float64(rest) / 8
+		pts[i] = p
+	}
+	return pts
+}
+
+// bruteRadii returns every record's inflection radius at w (Section 4.1)
+// from pairwise mindists: the k-th largest mindist to the other records
+// scoring at least as high at w, 0 with fewer than k of them, and +Inf
+// when k of them dominate the record outright.
+func bruteRadii(pts []geom.Vector, w geom.Vector, k int) []float64 {
+	radii := make([]float64, len(pts))
+	for i, p := range pts {
+		var mds []float64
+		for j, q := range pts {
+			if j != i && q.Dot(w) >= p.Dot(w) {
+				mds = append(mds, skyband.Mindist(w, p, q))
+			}
+		}
+		if len(mds) < k {
+			continue
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(mds)))
+		radii[i] = mds[k-1]
+	}
+	return radii
+}
+
+// scanBefore is the score-ordered scan's total order on records (see
+// skyband's scanEntry.Less): higher score at w, then larger coordinate
+// sum, then lexicographically larger point, then smaller id.
+func scanBefore(pts []geom.Vector, w geom.Vector, a, b int) bool {
+	p, q := pts[a], pts[b]
+	if sp, sq := p.Dot(w), q.Dot(w); sp != sq {
+		return sp > sq
+	}
+	if sp, sq := p.Sum(), q.Sum(); sp != sq {
+		return sp > sq
+	}
+	for j := range p {
+		if p[j] != q[j] {
+			return p[j] > q[j]
+		}
+	}
+	return a < b
+}
+
+// FuzzORD checks ORD against brute-force inflection radii on small,
+// degenerate inputs. ORD's tie rule (documented on cand.Less and shared
+// with ORD-BSL) orders records by radius, then by the scan's order; its
+// output must be the first m records of that order. ORD computes a radius
+// against the records its scan fetched, brute force against all of them,
+// so radii that are equal in exact arithmetic may differ in the last bits.
+// A record therefore counts as missing only when its brute-force radius is
+// clearly below a reported one, and the tie rule is checked on the ties
+// that are exact by construction: radius 0 (fewer than k competitors with
+// a positive mindist), and duplicate records.
+func FuzzORD(f *testing.F) {
+	// The seed corpus lives in testdata/fuzz/FuzzORD: each shape (IND,
+	// ANTI, COR, duplicates/grid ties/shared face, coplanar) with simplex
+	// vertex, edge and interior seeds, at d = 2 to 6.
+	f.Fuzz(func(t *testing.T, shape, nb, db uint8, dataSeed int64, kb, mb, mode uint8, rngSeed int64, w0, w1, w2, w3 float64) {
+		d := 2 + int(db)%5
+		n := 1 + int(nb)%200
+		k := 1 + int(kb)%4
+		m := k + int(mb)%12
+		rng := rand.New(rand.NewSource(rngSeed))
+		pts := ordFuzzPoints(shape, n, d, dataSeed)
+		explicit := make([]float64, d)
+		copy(explicit, []float64{w0, w1, w2, w3})
+		w := fuzzSeed(mode, d, explicit, rng)
+		tree := rtree.BulkLoad(pts)
+
+		radii := bruteRadii(pts, w, k)
+		finite := 0
+		for _, r := range radii {
+			if !math.IsInf(r, 1) {
+				finite++
+			}
+		}
+		res, err := ORD(tree, w, k, m)
+		if errors.Is(err, ErrInsufficientData) {
+			if finite >= m {
+				t.Fatalf("ORD reports insufficient data, but %d >= m = %d records have a finite radius", finite, m)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ORD: %v", err)
+		}
+		if finite < m {
+			t.Fatalf("ORD answered, but only %d < m = %d records have a finite radius", finite, m)
+		}
+		if len(res.Records) != m || len(res.Radii) != m {
+			t.Fatalf("ORD returned %d records and %d radii, want m = %d", len(res.Records), len(res.Radii), m)
+		}
+
+		// The brute-force order under ORD's tie rule.
+		before := func(a, b int) bool {
+			if radii[a] != radii[b] {
+				return radii[a] < radii[b]
+			}
+			return scanBefore(pts, w, a, b)
+		}
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return before(order[a], order[b]) })
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+		if !near(res.Rho, radii[order[m-1]]) || res.Rho != res.Radii[m-1] {
+			t.Fatalf("rho = %g (last radius %g), brute force %g", res.Rho, res.Radii[m-1], radii[order[m-1]])
+		}
+		in := make(map[int]bool, m)
+		for i, r := range res.Records {
+			if in[r.ID] {
+				t.Fatalf("record %d reported twice", r.ID)
+			}
+			in[r.ID] = true
+			if !near(res.Radii[i], radii[r.ID]) {
+				t.Fatalf("record %d: ORD radius %g, brute force %g", r.ID, res.Radii[i], radii[r.ID])
+			}
+			if i > 0 && res.Radii[i] < res.Radii[i-1] {
+				t.Fatalf("radii out of order at %d: %g after %g", i, res.Radii[i], res.Radii[i-1])
+			}
+		}
+		for _, x := range order {
+			if in[x] {
+				continue
+			}
+			for id := range in {
+				if radii[x] < radii[id] && !near(radii[x], radii[id]) {
+					t.Fatalf("record %d (radius %g) is missing, but record %d (radius %g) is reported", x, radii[x], id, radii[id])
+				}
+				// Radius 0 is exact on both sides: ORD's competitors are a
+				// subset of brute force's, so its radius is never larger.
+				exact := radii[x] == 0 && radii[id] == 0 || pts[x].Equal(pts[id])
+				if exact && scanBefore(pts, w, x, id) {
+					t.Fatalf("tie at radius %g: record %d is reported, but record %d, which the tie rule puts first, is not", radii[x], id, x)
+				}
+			}
+		}
+	})
+}

@@ -107,9 +107,8 @@ func appendHullKey(key []byte, ids []int) []byte {
 	return key
 }
 
-// layerSet is a lazily peeled hull.Layers that several queries, and the
-// partition workers of one query, may share: every peeling access holds
-// its lock. Point reads go straight to the immutable point map.
+// layerSet is a lazily peeled hull.Layers that several queries may share:
+// every peeling access holds its lock. Point reads go straight to the immutable point map.
 type layerSet struct {
 	mu sync.Mutex
 	ls *hull.Layers

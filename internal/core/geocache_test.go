@@ -54,9 +54,9 @@ func TestORURestartsWhenRhoExceedsEstimate(t *testing.T) {
 	}
 }
 
-// TestGeoCacheSharedMatchesPrivate runs one cache through many seeds, k
-// values and worker counts and compares every answer — records, rho,
-// regions and stats — with a private-cache run. The ANTI shape exhausts the
+// TestGeoCacheSharedMatchesPrivate runs one cache through many seeds and k
+// values and compares every answer — records, rho, regions and stats —
+// with a private-cache run. The ANTI shape exhausts the
 // rho-bar estimate, so the cached k-skyband layers are exercised too.
 func TestGeoCacheSharedMatchesPrivate(t *testing.T) {
 	shapes := []struct {
@@ -73,14 +73,13 @@ func TestGeoCacheSharedMatchesPrivate(t *testing.T) {
 		for q := 0; q < 12; q++ {
 			w := geom.RandSimplex(rng, sh.d)
 			k := 2 + q%3
-			workers := 1 + 3*(q%2)
-			shared, errS := ORUWith(tree, w, k, sh.m, ORUOptions{Cache: geo, Workers: workers})
-			private, errP := ORUWith(tree, w, k, sh.m, ORUOptions{Workers: workers})
+			shared, errS := ORUWith(tree, w, k, sh.m, ORUOptions{Cache: geo})
+			private, errP := ORU(tree, w, k, sh.m)
 			if errS != nil || errP != nil {
 				t.Fatalf("%s q=%d: errors %v / %v", sh.dist, q, errS, errP)
 			}
 			if !reflect.DeepEqual(shared, private) {
-				t.Fatalf("%s q=%d w=%v k=%d workers=%d: shared-cache answer differs", sh.dist, q, w, k, workers)
+				t.Fatalf("%s q=%d w=%v k=%d: shared-cache answer differs", sh.dist, q, w, k)
 			}
 		}
 		hulls, bands := cacheSizes(geo)

@@ -11,27 +11,34 @@ import (
 	"ordu/internal/xheap"
 )
 
-// cand is a candidate record with its inflection radius.
+// cand is a candidate record with its inflection radius and its position
+// in the score-ordered scan.
 type cand struct {
-	rec   Record
-	rho   float64
-	score float64
+	rec Record
+	rho float64
+	seq int
 }
 
 // Less orders the candidate max-heap by inflection radius: the root is the
-// eviction victim. Ties break towards evicting the lower-scoring record,
-// then the larger id, keeping ORD and ORD-BSL deterministic and mutually
-// consistent. Exact comparisons of stored sort keys: both sides are
-// previously computed values, so bitwise (in)equality is the deterministic
-// tie-break, not a numeric boundary test.
+// eviction victim. Equal radii evict the record that comes later in the
+// scan's total order on records (higher score at w first, then the
+// tie-breaks of skyband's scanEntry.Less). ORD and ORD-BSL both meet the
+// records in that order, so they keep the same m records; and a record
+// fetched after the m-th candidate with a radius equal to rho-bar loses
+// the tie, so skipping or pruning it is exact. The radii are compared
+// exactly: both sides are stored values, so bitwise (in)equality is the
+// deterministic tie-break, not a numeric boundary test.
 func (c cand) Less(o cand) bool {
 	if c.rho != o.rho { //ordlint:allow floatcmp — tie-break on stored keys
 		return c.rho > o.rho
 	}
-	if c.score != o.score { //ordlint:allow floatcmp — tie-break on stored keys
-		return c.score < o.score
-	}
-	return c.rec.ID > o.rec.ID
+	return c.seq > o.seq
+}
+
+// sortCands orders candidates as the output lists them: by radius, then
+// by scan order (the reverse of the eviction order).
+func sortCands(cs []cand) {
+	sort.Slice(cs, func(i, j int) bool { return cs[j].Less(cs[i]) })
 }
 
 // ORD computes the paper's first operator (Definition 1): the records
@@ -83,7 +90,7 @@ func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*OR
 			// exact boundary); it still remains a registered dominator.
 			continue
 		}
-		cands.Push(cand{rec: Record{ID: id, Point: p}, rho: rho, score: p.Dot(w)})
+		cands.Push(cand{rec: Record{ID: id, Point: p}, rho: rho, seq: i})
 		if cands.Len() > m {
 			cands.Pop() // evict the largest inflection radius
 			pruner.Rho = cands.Peek().rho
@@ -95,15 +102,7 @@ func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*OR
 	res := &ORDResult{Stats: Stats{HeapPops: sc.Visited(), Fetched: pruner.Size()}}
 	out := make([]cand, cands.Len())
 	copy(out, cands.Items())
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rho != out[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].rho < out[j].rho
-		}
-		if out[i].score != out[j].score { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].score > out[j].score
-		}
-		return out[i].rec.ID < out[j].rec.ID
-	})
+	sortCands(out)
 	for _, c := range out {
 		res.Records = append(res.Records, c.rec)
 		res.Radii = append(res.Radii, c.rho)
@@ -154,24 +153,12 @@ func ORDBSL(tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 		if math.IsInf(rho, 1) {
 			continue
 		}
-		out = append(out, cand{
-			rec:   Record{ID: mem.ID, Point: mem.Point},
-			rho:   rho,
-			score: mem.Point.Dot(w),
-		})
+		out = append(out, cand{rec: Record{ID: mem.ID, Point: mem.Point}, rho: rho, seq: i})
 	}
 	if len(out) < m {
 		return nil, ErrInsufficientData
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rho != out[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].rho < out[j].rho
-		}
-		if out[i].score != out[j].score { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].score > out[j].score
-		}
-		return out[i].rec.ID < out[j].rec.ID
-	})
+	sortCands(out)
 	out = out[:m]
 	res := &ORDResult{Stats: Stats{Fetched: len(members)}}
 	for _, c := range out {

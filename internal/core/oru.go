@@ -50,10 +50,9 @@ func (n *regionNode) Less(o *regionNode) bool {
 	return n.seq < o.seq
 }
 
-// exploreWS is the per-worker scratch of the region search: the QP-backed
-// region workspace, the partition candidate/visited sets and buffers, and a
-// regionNode free list. One exploreWS per goroutine; partition only ever
-// touches the workspace it is handed.
+// exploreWS is the scratch of the region search: the QP-backed region
+// workspace, the partition candidate/visited sets and buffers, and a
+// regionNode free list. Each explorer owns one.
 type exploreWS struct {
 	reg     region.Workspace
 	inTop   map[int]bool
@@ -117,7 +116,7 @@ type explorer struct {
 	clip   *region.Region // nil: unrestricted (ball mode)
 	seq    int
 	stats  Stats
-	ws     exploreWS // main-goroutine scratch (sequential partition, push)
+	ws     exploreWS // partition, push and resolve scratch
 
 	outSet   map[int]bool
 	records  []Record
@@ -225,7 +224,7 @@ func (e *explorer) buildNodeRegion(child *regionNode, parent region.Region, id i
 // (the parent's mindist for partition children, 0 for roots): the child
 // region is a subset of its parent's, so its true mindist can never be
 // smaller, and clamping absorbs the solver's last-ulp noise — keeping the
-// finalization order provably monotone. Only called from the main goroutine.
+// finalization order provably monotone.
 func (e *explorer) resolve(n *regionNode) bool {
 	var clipHs []region.Halfspace
 	if e.clip != nil {
@@ -313,7 +312,7 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 			return false, ErrBudgetExceeded
 		}
 		e.stats.RegionsPartitioned++
-		children := e.partition(n, &e.ws)
+		children := e.partition(n)
 		if children == nil {
 			// Candidates exhausted inside this region: the top list cannot
 			// grow further; finalize it short (only possible when the
@@ -337,9 +336,10 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 // anywhere in it comes from Set (i) (records adjacent to a top member in
 // its own layer) or Set (ii) (next-layer records whose top-region overlaps
 // the region). It returns one child per possible next record, or nil when
-// no next record exists. All scratch state comes from ws (one per
-// goroutine); the layers structure is only read.
-func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
+// no next record exists. All scratch state comes from e.ws; the layers
+// structure is only read.
+func (e *explorer) partition(n *regionNode) []*regionNode {
+	ws := &e.ws
 	if ws.inTop == nil {
 		ws.inTop = make(map[int]bool)
 		ws.cand = make(map[int]bool)
@@ -615,10 +615,6 @@ type ORUOptions struct {
 	// partitioning (used by the ablation benchmarks): every partitioning
 	// builds an explicit L_upd upper hull.
 	NoPartitionBypass bool
-	// Workers > 1 partitions regions concurrently — the parallelisation
-	// direction of Section 6.4. The output is identical to the sequential
-	// algorithm; only wall-clock changes.
-	Workers int
 	// Cache shares seed-independent geometry across the queries of one
 	// dataset state (see GeoCache); the caller must replace it whenever
 	// the tree changes. nil gives the query a private cache. The output
@@ -653,13 +649,7 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 		ex.noBypass = opts.NoPartitionBypass
 		ex.stats.Fetched = fetched + size
 		if ex.seed() {
-			var complete bool
-			var exErr error
-			if opts.Workers > 1 {
-				complete, exErr = ex.exploreParallel(ctx, m, opts.Workers)
-			} else {
-				complete, exErr = ex.explore(ctx, m)
-			}
+			complete, exErr := ex.explore(ctx, m)
 			if exErr != nil {
 				return nil, exErr
 			}

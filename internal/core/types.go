@@ -40,6 +40,8 @@ type Stats struct {
 type ORDResult struct {
 	// Records are the m output records ordered by inflection radius: the
 	// prefix of length j is the rho-skyband just past Records[j-1].Radius.
+	// Equal radii keep the scan's order (higher score at w first), and
+	// that order also decides which records tied at Rho are kept.
 	Records []Record
 	// Radii holds the inflection radius of each record, parallel to
 	// Records.

@@ -140,14 +140,35 @@ func (s *Server) dataset(name string) (*namedDataset, bool) {
 	return nd, ok
 }
 
+// maxBodyBytes caps every JSON request body. Query and point-write bodies
+// hold one vector of attributes; a dataset registration, a generator spec.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes; a
+// strict decode rejects unknown fields. On failure it returns the status
+// to answer: 413 for an oversized body, 400 for any other decode error.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
+		}
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	return 0, nil
+}
+
 // --- query handling ---
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) {
 	start := time.Now()
 	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, op, start, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if status, err := decodeBody(w, r, &req, false); err != nil {
+		s.fail(w, op, start, status, err.Error())
 		return
 	}
 	if err := validateWire(&req); err != nil {
@@ -205,7 +226,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 			resp = NewORDResponse(res)
 		}
 	case "oru":
-		res, qerr := nd.ds.ORUParallelCtx(ctx, req.W, req.K, req.M, req.Workers) //ordlint:allow lockhold — reader lock by design: ORUParallelCtx returns borrows the lock must cover; see the ORD arm above
+		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockhold — reader lock by design: ORUCtx returns borrows the lock must cover; see the ORD arm above
 		if qerr != nil {
 			err = qerr
 		} else {
@@ -254,11 +275,11 @@ func statusForCtx(err error) int {
 
 // --- datasets ---
 
-// DatasetRequest is the body of POST /datasets: either a server-local CSV
-// path or a generator spec.
+// DatasetRequest is the body of POST /datasets: a name and a generator
+// spec. Server-local files load only through ordud's -data flag, so no
+// client can make the server read a path.
 type DatasetRequest struct {
 	Name      string         `json:"name"`
-	CSVPath   string         `json:"csv_path,omitempty"`
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 }
 
@@ -307,7 +328,7 @@ func infoFromStats(name string, st collection.Stats) DatasetInfo {
 func BuildDataset(csvPath string, gen *GeneratorSpec) (*ordu.Dataset, error) {
 	switch {
 	case csvPath != "" && gen != nil:
-		return nil, fmt.Errorf("give either csv_path or generator, not both")
+		return nil, fmt.Errorf("give either a CSV path or a generator, not both")
 	case csvPath != "":
 		recs, err := data.LoadCSV(csvPath)
 		if err != nil {
@@ -321,7 +342,7 @@ func BuildDataset(csvPath string, gen *GeneratorSpec) (*ordu.Dataset, error) {
 		}
 		return ordu.NewDataset(recs)
 	default:
-		return nil, fmt.Errorf("give csv_path or generator")
+		return nil, fmt.Errorf("give a CSV path or a generator")
 	}
 }
 
@@ -354,15 +375,21 @@ func generate(g *GeneratorSpec) ([][]float64, error) {
 func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req DatasetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, "datasets", start, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	// Strict: an unknown field (a csv_path from an older client, say) is
+	// an error rather than silently ignored.
+	if status, err := decodeBody(w, r, &req, true); err != nil {
+		s.fail(w, "datasets", start, status, err.Error())
 		return
 	}
 	if req.Name == "" {
 		s.fail(w, "datasets", start, http.StatusBadRequest, "missing dataset name")
 		return
 	}
-	ds, err := BuildDataset(req.CSVPath, req.Generator)
+	if req.Generator == nil {
+		s.fail(w, "datasets", start, http.StatusBadRequest, "missing generator")
+		return
+	}
+	ds, err := BuildDataset("", req.Generator)
 	if err != nil {
 		s.fail(w, "datasets", start, http.StatusBadRequest, err.Error())
 		return
@@ -449,8 +476,8 @@ func (s *Server) handleWritePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PointWriteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, "points", start, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if status, err := decodeBody(w, r, &req, false); err != nil {
+		s.fail(w, "points", start, status, err.Error())
 		return
 	}
 	if len(req.Point) != nd.ds.Dim() {

@@ -105,15 +105,15 @@ func TestQueryORUHappyPath(t *testing.T) {
 			t.Fatalf("region %d witness %v", i, reg.Witness)
 		}
 	}
-	// Parallel partitioning returns the identical result.
-	par := do(t, s.Handler(), "POST", "/query/oru",
+	// Older clients still send "workers"; the decoder ignores the field,
+	// so the request is the same query and hits the same cache entry.
+	old := do(t, s.Handler(), "POST", "/query/oru",
 		`{"dataset":"main","w":[0.3,0.3,0.4],"k":2,"m":10,"workers":4}`)
-	if par.Code != http.StatusOK {
-		t.Fatalf("parallel status %d", par.Code)
+	if old.Code != http.StatusOK {
+		t.Fatalf("status %d with workers: %s", old.Code, old.Body.String())
 	}
-	if par.Header().Get("X-Cache") != "HIT" {
-		// workers is excluded from the cache key on purpose.
-		t.Fatal("parallel run with same (w,k,m) should hit the cache")
+	if old.Header().Get("X-Cache") != "HIT" || !bytes.Equal(old.Body.Bytes(), rec.Body.Bytes()) {
+		t.Fatal("a body with workers should hit the cache entry of the same (w,k,m)")
 	}
 }
 
@@ -150,6 +150,26 @@ func TestQueryBadRequests(t *testing.T) {
 	// Wrong method on a query route.
 	if rec := do(t, s.Handler(), "GET", "/query/ord", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query/ord = %d, want 405", rec.Code)
+	}
+}
+
+func TestOversizedBodyReturns413(t *testing.T) {
+	s := testServer(t, Config{}, 100)
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, path := range []string{"/query/ord", "/query/oru", "/datasets", "/datasets/main/points"} {
+		body := `{"name":"x"` + pad + `}`
+		if rec := do(t, s.Handler(), "POST", path, body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if n := len(decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", ""))); n != 1 {
+		t.Fatalf("%d datasets after oversized registrations, want 1", n)
+	}
+	// A body just under the cap is read whole.
+	body := `{"dataset":"main","w":[0.4,0.3,0.3],"k":1,"m":2}`
+	body = body[:len(body)-1] + pad[:maxBodyBytes-len(body)] + "}"
+	if rec := do(t, s.Handler(), "POST", "/query/ord", body); rec.Code != http.StatusOK {
+		t.Fatalf("body at the cap: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -332,7 +352,13 @@ func TestDatasetEndpoints(t *testing.T) {
 	if info.Records != 120 || info.Dims != 3 {
 		t.Fatalf("info %+v", info)
 	}
-	// CSV-backed registration.
+	q := do(t, s.Handler(), "POST", "/query/ord", `{"dataset":"synth","w":[0.4,0.3,0.3],"k":2,"m":5}`)
+	if q.Code != 200 {
+		t.Fatalf("query on synth: %d %s", q.Code, q.Body.String())
+	}
+	// A client cannot make the server read a local file: csv_path is
+	// refused, alone or next to a valid generator. The file is a valid CSV,
+	// so a server that read it would have registered a "csv" dataset.
 	path := filepath.Join(t.TempDir(), "recs.csv")
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
@@ -341,27 +367,24 @@ func TestDatasetEndpoints(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec = do(t, s.Handler(), "POST", "/datasets",
-		fmt.Sprintf(`{"name":"csv","csv_path":%q}`, path))
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("csv status %d: %s", rec.Code, rec.Body.String())
+	for _, body := range []string{
+		fmt.Sprintf(`{"name":"csv","csv_path":%q}`, path),
+		fmt.Sprintf(`{"name":"csv","csv_path":%q,"generator":{"dist":"IND","n":10,"d":2}}`, path),
+	} {
+		rec := do(t, s.Handler(), "POST", "/datasets", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "csv_path") {
+			t.Fatalf("body %s: status %d %s, want 400 naming csv_path", body, rec.Code, rec.Body.String())
+		}
 	}
-	// Both are listed and queryable.
 	list := decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", ""))
-	if len(list) != 2 || list[0].Name != "csv" || list[1].Name != "synth" {
-		t.Fatalf("list %+v", list)
-	}
-	q := do(t, s.Handler(), "POST", "/query/ord", `{"dataset":"synth","w":[0.4,0.3,0.3],"k":2,"m":5}`)
-	if q.Code != 200 {
-		t.Fatalf("query on synth: %d %s", q.Code, q.Body.String())
+	if len(list) != 1 || list[0].Name != "synth" {
+		t.Fatalf("list %+v, want only synth", list)
 	}
 	// Bad registrations.
 	for _, body := range []string{
-		`{"csv_path":"x.csv"}`, // no name
-		`{"name":"x"}`,         // no source
+		`{"generator":{"dist":"IND","n":10,"d":2}}`, // no name
+		`{"name":"x"}`, // no source
 		`{"name":"x","generator":{"dist":"WAT","n":10,"d":2}}`,
-		`{"name":"x","csv_path":"/definitely/missing.csv"}`,
-		fmt.Sprintf(`{"name":"x","csv_path":%q,"generator":{"dist":"IND","n":10,"d":2}}`, path),
 	} {
 		if rec := do(t, s.Handler(), "POST", "/datasets", body); rec.Code != 400 {
 			t.Fatalf("body %s: status %d, want 400", body, rec.Code)
@@ -388,7 +411,7 @@ func TestConcurrentQueries(t *testing.T) {
 			if g%2 == 1 {
 				op = "oru"
 			}
-			body := fmt.Sprintf(`{"dataset":"main","w":[%g,%g,%g],"k":2,"m":8,"workers":2}`,
+			body := fmt.Sprintf(`{"dataset":"main","w":[%g,%g,%g],"k":2,"m":8}`,
 				w[0], w[1], w[2])
 			for i := 0; i < 3; i++ {
 				rec := do(t, s.Handler(), "POST", "/query/"+op, body)

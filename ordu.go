@@ -383,30 +383,6 @@ func (ds *Dataset) ORU(w []float64, k, m int) (*ORUResult, error) {
 //
 //ordlint:borrows — Result.Record aliases the packed storage
 func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResult, error) {
-	return ds.oruCtx(ctx, w, k, m, 0)
-}
-
-// ORUParallel is ORU with concurrent region partitioning — the
-// parallelisation direction the paper proposes in Section 6.4. The result
-// is identical to ORU; only wall-clock changes. workers <= 1 falls back to
-// the sequential algorithm.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORUParallel(w []float64, k, m, workers int) (*ORUResult, error) {
-	return ds.ORUParallelCtx(context.Background(), w, k, m, workers)
-}
-
-// ORUParallelCtx is ORUParallel with a context (see ORDCtx).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORUParallelCtx(ctx context.Context, w []float64, k, m, workers int) (*ORUResult, error) {
-	return ds.oruCtx(ctx, w, k, m, workers)
-}
-
-// oruCtx validates, runs the core ORU and converts the result.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (*ORUResult, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
 		return nil, err
@@ -414,7 +390,7 @@ func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (
 	if err := checkKM(k, m); err != nil {
 		return nil, err
 	}
-	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{Workers: workers, Cache: ds.geo})
+	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{Cache: ds.geo})
 	if err != nil {
 		return nil, err
 	}

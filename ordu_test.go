@@ -285,9 +285,6 @@ func TestFacadeValidationSentinels(t *testing.T) {
 			if _, err := ds.ORU(tc.w, tc.k, tc.m); !errors.Is(err, tc.want) {
 				t.Errorf("ORU err = %v, want %v", err, tc.want)
 			}
-			if _, err := ds.ORUParallel(tc.w, tc.k, tc.m, 2); !errors.Is(err, tc.want) {
-				t.Errorf("ORUParallel err = %v, want %v", err, tc.want)
-			}
 		})
 	}
 	// The two sentinels stay distinct.
@@ -322,9 +319,6 @@ func TestFacadeCtxCancellation(t *testing.T) {
 	}
 	if _, err := ds.ORUCtx(ctx, w, 2, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("ORUCtx err = %v", err)
-	}
-	if _, err := ds.ORUParallelCtx(ctx, w, 2, 8, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("ORUParallelCtx err = %v", err)
 	}
 	// A live context reproduces the plain results.
 	got, err := ds.ORDCtx(context.Background(), w, 2, 8)
