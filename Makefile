@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/rtree -fuzz FuzzFlatTreeMutations -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzORU -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzORD -fuzztime 30s
+	$(GO) test ./internal/skyband -run '^$$' -fuzz FuzzMindistAtLeast -fuzztime 30s
 
 # Start the query server on :8375 with a generated demo dataset.
 serve:

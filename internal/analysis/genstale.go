@@ -14,7 +14,7 @@ import (
 // writer methods of configured owners, //ordlint:mutates functions) on the
 // same root — without re-derivation. This extends borrowck's lock-release
 // staleness to structural staleness: a node id may dangle after a Delete
-// rebalances the arena, a ChildLo window after an Insert splits the node,
+// rebalances the arena, a ChildHi window after an Insert splits the node,
 // a generation read after a mutation bumps the counter. Slot-class values
 // and configured stable views survive (the slot-stability contract).
 func NewGenstale(hc *HandleConfig) *Analyzer {

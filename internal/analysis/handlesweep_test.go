@@ -54,7 +54,6 @@ func TestModuleHandleSweep(t *testing.T) {
 			"Level":            {},
 			"Count":            {},
 			"Child":            {ret: HandleNode | HandleSlot},
-			"ChildLo":          {},
 			"ChildHi":          {},
 			"LeafID":           {},
 			"LeafPoint":        {},

@@ -103,8 +103,8 @@ func TestSummaries(t *testing.T) {
 		name  string
 		polls bool
 	}{
-		{"ctxflow.deeper", true},  // polls ctx.Err directly
-		{"ctxflow.polls", true},   // transitively, via a ctx-forwarding call
+		{"ctxflow.deeper", true},   // polls ctx.Err directly
+		{"ctxflow.polls", true},    // transitively, via a ctx-forwarding call
 		{"ctxflow.ignores", false}, // receives ctx but drops it
 	}
 	for _, c := range cases {

@@ -256,17 +256,17 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/narrow":       true,
 		},
 		HandleRuns: map[string]RunSpec{
-			rt + ".Tree.level":     {Index: HandleNode},
-			rt + ".Tree.count":     {Index: HandleNode},
-			rt + ".Tree.rseg":      {Index: HandleNode, Elem: HandleNode},
-			rt + ".Tree.ents":      {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
-			rt + ".Tree.rects":     {Index: HandleNode, Stride: true},
-			rt + ".Tree.chunks":    {Index: HandleSlot},
-			rt + ".Tree.idAt":      {Index: HandleSlot},
-			rt + ".Tree.slotOf":    {Elem: HandleSlot},
-			rt + ".Tree.freeNodes": {Elem: HandleNode},
-			rt + ".Tree.freeSegs":  {Elem: HandleNode},
-			rt + ".Tree.freeSlots": {Elem: HandleSlot},
+			rt + ".Tree.level":         {Index: HandleNode},
+			rt + ".Tree.count":         {Index: HandleNode},
+			rt + ".Tree.rseg":          {Index: HandleNode, Elem: HandleNode},
+			rt + ".Tree.ents":          {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
+			rt + ".Tree.rects":         {Index: HandleNode, Stride: true},
+			rt + ".Tree.chunks":        {Index: HandleSlot},
+			rt + ".Tree.idAt":          {Index: HandleSlot},
+			rt + ".Tree.slotOf":        {Elem: HandleSlot},
+			rt + ".Tree.freeNodes":     {Elem: HandleNode},
+			rt + ".Tree.freeSegs":      {Elem: HandleNode},
+			rt + ".Tree.freeSlots":     {Elem: HandleSlot},
 			col + ".Collection.chunks": {Index: HandleSlot},
 			col + ".Collection.idAt":   {Index: HandleSlot},
 			col + ".Collection.slotOf": {Elem: HandleSlot},
@@ -276,30 +276,30 @@ func DefaultConfig(modulePath string) Config {
 			rt + ".NodeRef": HandleNode,
 		},
 		HandleBoundFields: map[string]bool{
-			rt + ".Tree.dim":           true,
-			rt + ".Tree.fanout":        true,
-			rt + ".Tree.entCap":        true,
-			rt + ".Tree.count":         true,
-			col + ".Collection.dim":    true,
+			rt + ".Tree.dim":        true,
+			rt + ".Tree.fanout":     true,
+			rt + ".Tree.entCap":     true,
+			rt + ".Tree.count":      true,
+			col + ".Collection.dim": true,
 		},
 		HandleGenFields: map[string]bool{
 			modulePath + "/internal/server.namedDataset.gen": true,
 		},
 		HandleOwners: map[string]bool{
-			modulePath + ".Dataset":      true,
-			col + ".Collection":          true,
-			rt + ".Tree":                 true,
-			rt + "/legacy.Tree":          true,
+			modulePath + ".Dataset": true,
+			col + ".Collection":     true,
+			rt + ".Tree":            true,
+			rt + "/legacy.Tree":     true,
 		},
 		HandleStableViews: map[string]bool{
 			// Slot-backed vectors: the chunk storage never reallocates, so
 			// these views stay addressable across mutations (their
 			// coordinates may change — they track the live record).
-			rt + ".Tree.LeafPoint":    true,
-			rt + ".Tree.Point":        true,
-			rt + ".Tree.slotVec":      true,
-			col + ".Collection.Get":   true,
-			col + ".Collection.at":    true,
+			rt + ".Tree.LeafPoint":  true,
+			rt + ".Tree.Point":      true,
+			rt + ".Tree.slotVec":    true,
+			col + ".Collection.Get": true,
+			col + ".Collection.at":  true,
 			// Stable by construction: the tree pointer itself.
 			col + ".Collection.Tree": true,
 		},

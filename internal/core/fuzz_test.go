@@ -287,7 +287,7 @@ func bruteRadii(pts []geom.Vector, w geom.Vector, k int) []float64 {
 }
 
 // scanBefore is the score-ordered scan's total order on records (see
-// skyband's scanEntry.Less): higher score at w, then larger coordinate
+// skyband's Scanner.less): higher score at w, then larger coordinate
 // sum, then lexicographically larger point, then smaller id.
 func scanBefore(pts []geom.Vector, w geom.Vector, a, b int) bool {
 	p, q := pts[a], pts[b]

@@ -22,7 +22,7 @@ type cand struct {
 // Less orders the candidate max-heap by inflection radius: the root is the
 // eviction victim. Equal radii evict the record that comes later in the
 // scan's total order on records (higher score at w first, then the
-// tie-breaks of skyband's scanEntry.Less). ORD and ORD-BSL both meet the
+// tie-breaks of skyband's Scanner.less). ORD and ORD-BSL both meet the
 // records in that order, so they keep the same m records; and a record
 // fetched after the m-th candidate with a radius equal to rho-bar loses
 // the tie, so skipping or pruning it is exact. The radii are compared
@@ -131,6 +131,8 @@ func inflectionAgainst(w geom.Vector, p geom.Vector, pruner *skyband.RhoPruner, 
 // k-skyband, derive every member's inflection radius, and keep the m
 // smallest. It serves as the paper's ORD-BSL baseline and as a reference
 // implementation for testing the enhanced algorithm.
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func ORDBSL(tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err

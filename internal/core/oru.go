@@ -628,6 +628,8 @@ func ORUWith(tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORURe
 }
 
 // ORUWithCtx is ORUWith with cooperative cancellation (see ORUCtx).
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
@@ -667,6 +669,8 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 // lazily peeled layers, with their count: the rhoBar-skyband, or — when the
 // estimate is exhausted and rhoBar is +Inf — the whole k-skyband, which is
 // the same for every seed and so is shared through geo.
+//
+//ordlint:borrows — the layers' points alias the tree's packed storage
 func candidates(ctx context.Context, geo *GeoCache, tree *rtree.Tree, w geom.Vector, k int, rhoBar float64, exhausted bool) (*layerSet, int, error) {
 	if exhausted {
 		if b := geo.band(k); b != nil {
@@ -725,6 +729,8 @@ func EnumerateWithin(cands []skyband.Member, w geom.Vector, k int, clip region.R
 // ErrBudgetExceeded is returned, the analogue of the paper's DNF entries.
 // Like ORU, it doubles the estimation target and starts over when the
 // estimate proves too small.
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
@@ -743,6 +749,8 @@ func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, 
 }
 
 // oruBSLWithin runs one ORU-BSL pass over the rhoBar-skyband.
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func oruBSLWithin(tree *rtree.Tree, w geom.Vector, k, m, budget int, rhoBar float64, fetched int) (*ORUResult, error) {
 	cands := skyband.RhoSkyband(tree, w, k, rhoBar)
 	ex := newExplorer(newLayerSet(cands), NewGeoCache(), w, k, nil)
@@ -767,23 +775,25 @@ func oruBSLWithin(tree *rtree.Tree, w geom.Vector, k, m, budget int, rhoBar floa
 	sort.Slice(ex.regions, func(i, j int) bool {
 		return ex.regions[i].MinDist < ex.regions[j].MinDist
 	})
-	res := &ORUResult{Stats: ex.stats}
+	var regions []TopKRegion
+	var records []Record
+	var rho float64
 	seen := map[int]bool{}
 	for _, reg := range ex.regions {
-		res.Regions = append(res.Regions, reg)
+		regions = append(regions, reg)
 		for _, r := range reg.TopK {
 			if !seen[r.ID] {
 				seen[r.ID] = true
-				res.Records = append(res.Records, r)
+				records = append(records, r)
 			}
 		}
-		res.Rho = reg.MinDist
-		if len(res.Records) >= m {
+		rho = reg.MinDist
+		if len(records) >= m {
 			break
 		}
 	}
-	if len(res.Records) < m {
+	if len(records) < m {
 		return nil, ErrInsufficientData
 	}
-	return res, nil
+	return &ORUResult{Records: records, Regions: regions, Rho: rho, Stats: ex.stats}, nil
 }

@@ -97,6 +97,8 @@ func (r *rPruner) Prune(p geom.Vector) bool {
 // entries in decreasing score for the region's reference point w, which
 // must belong to reg so that the BBS invariant holds (an R-dominator
 // scores at least as high everywhere in R, hence at w).
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func RSkyband(tree *rtree.Tree, w geom.Vector, box *BoxRegion, k int) []skyband.Member {
 	sc := skyband.NewScanner(tree, w)
 	pr := &rPruner{box: box, k: k}
@@ -176,6 +178,8 @@ func trialLoop(w geom.Vector, n, d, k, m int, tolFrac float64, run func(side flo
 // RSB simulates ORD with the fixed-region R-skyband technique: repeated
 // R-skyband computations with hypercube re-estimation until the output
 // size is within tolFrac (e.g. 0.05 or 0.10) of m.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func RSB(tree *rtree.Tree, w geom.Vector, k, m int, tolFrac float64) *Result {
 	var last []skyband.Member
 	side, trials, achieved := trialLoop(w, tree.Len(), tree.Dim(), k, m, tolFrac, func(side float64) int {
@@ -192,6 +196,8 @@ func RSB(tree *rtree.Tree, w geom.Vector, k, m int, tolFrac float64) *Result {
 // TopKUnion computes the fixed-region top-k operator of [54] for the given
 // hypercube region: the distinct records appearing in the top-k result of
 // at least one preference vector in the region.
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func TopKUnion(tree *rtree.Tree, w geom.Vector, box *BoxRegion, k int) []core.Record {
 	cands := RSkyband(tree, w, box, k)
 	recs, _, err := core.EnumerateWithin(cands, w, k, box.Region())
@@ -204,6 +210,8 @@ func TopKUnion(tree *rtree.Tree, w geom.Vector, box *BoxRegion, k int) []core.Re
 // JAA simulates ORU with the fixed-region top-k technique of [54]:
 // repeated fixed-region top-k computations with hypercube re-estimation
 // until the distinct-record count is within tolFrac of m.
+//
+//ordlint:borrows — the records' points alias the tree's packed storage
 func JAA(tree *rtree.Tree, w geom.Vector, k, m int, tolFrac float64) *Result {
 	var last []core.Record
 	side, trials, achieved := trialLoop(w, tree.Len(), tree.Dim(), k, m, tolFrac, func(side float64) int {

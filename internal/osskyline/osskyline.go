@@ -25,6 +25,8 @@ type Result struct {
 // Fewer are returned when the skyline itself is smaller than m. Ties in
 // dominance count break towards the smaller id, keeping results
 // deterministic.
+//
+//ordlint:borrows — the results' points alias the tree's packed storage
 func TopM(tree *rtree.Tree, m int) []Result {
 	sky := skyband.Skyline(tree)
 	res := make([]Result, 0, len(sky))

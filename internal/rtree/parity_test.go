@@ -44,9 +44,9 @@ func checkTreesIdentical(t *testing.T, ft *Tree, lt *legacy.Tree, step string) {
 				}
 				continue
 			}
-			if !ft.ChildLo(fn, i).Equal(geom.Vector(le.Rect.Lo)) || !ft.ChildHi(fn, i).Equal(geom.Vector(le.Rect.Hi)) {
+			if !childLo(ft, fn, i).Equal(geom.Vector(le.Rect.Lo)) || !ft.ChildHi(fn, i).Equal(geom.Vector(le.Rect.Hi)) {
 				t.Fatalf("%s: node %s entry %d rect %v/%v vs legacy %v/%v",
-					step, path, i, ft.ChildLo(fn, i), ft.ChildHi(fn, i), le.Rect.Lo, le.Rect.Hi)
+					step, path, i, childLo(ft, fn, i), ft.ChildHi(fn, i), le.Rect.Lo, le.Rect.Hi)
 			}
 			walk(ft.Child(fn, i), le.Child, fmt.Sprintf("%s.%d", path, i))
 		}

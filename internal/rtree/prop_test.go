@@ -117,9 +117,9 @@ func checkStructure(t *testing.T, tr *Tree, step string) {
 				t.Fatalf("%s: empty child node at level %d", step, tr.Level(c))
 			}
 			tr.computeNodeRect(c, lo, hi)
-			if !tr.ChildLo(n, i).Equal(lo) || !tr.ChildHi(n, i).Equal(hi) {
+			if !childLo(tr, n, i).Equal(lo) || !tr.ChildHi(n, i).Equal(hi) {
 				t.Fatalf("%s: stale MBR at level %d: stored %v/%v, actual %v/%v",
-					step, tr.Level(n), tr.ChildLo(n, i), tr.ChildHi(n, i), geom.Vector(lo), geom.Vector(hi))
+					step, tr.Level(n), childLo(tr, n, i), tr.ChildHi(n, i), geom.Vector(lo), geom.Vector(hi))
 			}
 			walk(c, false)
 		}

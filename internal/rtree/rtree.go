@@ -20,8 +20,8 @@
 // Slot stability: a record's packed slot never moves and a chunk is never
 // reallocated, so vectors handed out by LeafPoint/Point stay valid for the
 // record's lifetime even as the tree churns (the same contract
-// internal/collection exposes). Rectangle views returned by
-// ChildLo/ChildHi alias the rect arena and are invalidated by mutations.
+// internal/collection exposes). Rectangle views returned by ChildHi alias
+// the rect arena and are invalidated by mutations.
 package rtree
 
 import (
@@ -160,16 +160,6 @@ func (t *Tree) Count(n NodeRef) int { return int(t.count[n]) }
 //ordlint:bounded — caller contract: i < Count(n), upheld by every traversal loop
 func (t *Tree) Child(n NodeRef, i int) NodeRef {
 	return NodeRef(t.ents[int(n)*t.entCap+i])
-}
-
-// ChildLo returns the low corner of the i-th entry MBR of an internal
-// node. The vector is a view into the rect arena: valid until the next
-// mutation, read-only.
-//
-//ordlint:borrows — the vector aliases the tree's rect arena
-func (t *Tree) ChildLo(n NodeRef, i int) geom.Vector {
-	rb := t.rb(n, i)
-	return geom.Vector(t.rects[rb : rb+t.dim : rb+t.dim])
 }
 
 // ChildHi returns the high (top) corner of the i-th entry MBR of an

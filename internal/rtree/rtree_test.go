@@ -8,6 +8,14 @@ import (
 	"ordu/internal/geom"
 )
 
+// childLo returns the low corner of the i-th entry MBR of an internal
+// node, a view into the rect arena (the counterpart of Tree.ChildHi, which
+// only the tests need).
+func childLo(t *Tree, n NodeRef, i int) geom.Vector {
+	rb := t.rb(n, i)
+	return geom.Vector(t.rects[rb : rb+t.dim : rb+t.dim])
+}
+
 func randPoints(rng *rand.Rand, n, d int) []geom.Vector {
 	pts := make([]geom.Vector, n)
 	for i := range pts {
@@ -55,9 +63,9 @@ func checkInvariants(t *testing.T, tr *Tree) {
 				t.Fatalf("child level %d under node level %d", tr.Level(c), tr.Level(n))
 			}
 			tr.computeNodeRect(c, lo, hi)
-			if !tr.ChildLo(n, i).Equal(lo) || !tr.ChildHi(n, i).Equal(hi) {
+			if !childLo(tr, n, i).Equal(lo) || !tr.ChildHi(n, i).Equal(hi) {
 				t.Fatalf("stale MBR at level %d: stored %v/%v, actual %v/%v",
-					tr.Level(n), tr.ChildLo(n, i), tr.ChildHi(n, i), geom.Vector(lo), geom.Vector(hi))
+					tr.Level(n), childLo(tr, n, i), tr.ChildHi(n, i), geom.Vector(lo), geom.Vector(hi))
 			}
 			count += walk(c)
 		}

@@ -140,6 +140,17 @@ func (s *Server) dataset(name string) (*namedDataset, bool) {
 	return nd, ok
 }
 
+// Generator caps for POST /datasets. The server builds a generated dataset
+// synchronously, outside the worker pool, so no client may ask for an
+// arbitrarily large one: past a cap the request gets 400. The real-like
+// generators have a fixed d of at most 8, so the record cap bounds them.
+// ordud's -gen flag, which the operator chooses, is not capped.
+const (
+	maxGenRecords = 1 << 21 // n
+	maxGenDims    = 64      // d
+	maxGenValues  = 1 << 23 // n·d: 64 MiB of coordinates
+)
+
 // maxBodyBytes caps every JSON request body. Query and point-write bodies
 // hold one vector of attributes; a dataset registration, a generator spec.
 const maxBodyBytes = 1 << 20
@@ -387,6 +398,11 @@ func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Generator == nil {
 		s.fail(w, "datasets", start, http.StatusBadRequest, "missing generator")
+		return
+	}
+	if g := req.Generator; g.N > maxGenRecords || g.D > maxGenDims || g.N*g.D > maxGenValues {
+		s.fail(w, "datasets", start, http.StatusBadRequest, fmt.Sprintf(
+			"generator too large: want n <= %d, d <= %d and n*d <= %d", maxGenRecords, maxGenDims, maxGenValues))
 		return
 	}
 	ds, err := BuildDataset("", req.Generator)

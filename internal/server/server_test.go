@@ -340,6 +340,32 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestDatasetGeneratorCaps: POST /datasets refuses generator sizes past
+// the caps on n, d and n·d with a 400 before generating anything, and
+// registers nothing.
+func TestDatasetGeneratorCaps(t *testing.T) {
+	s := New(Config{})
+	for _, body := range []string{
+		`{"name":"huge","generator":{"dist":"IND","n":1000000000,"d":1000}}`,
+		fmt.Sprintf(`{"name":"n","generator":{"dist":"IND","n":%d,"d":2}}`, maxGenRecords+1),
+		fmt.Sprintf(`{"name":"d","generator":{"dist":"ANTI","n":10,"d":%d}}`, maxGenDims+1),
+		fmt.Sprintf(`{"name":"nd","generator":{"dist":"COR","n":%d,"d":%d}}`, maxGenRecords, maxGenValues/maxGenRecords+1),
+		fmt.Sprintf(`{"name":"hotel","generator":{"dist":"HOTEL","n":%d}}`, maxGenRecords+1),
+	} {
+		rec := do(t, s.Handler(), "POST", "/datasets", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+			t.Fatalf("body %s: status %d %s, want 400 naming the size", body, rec.Code, rec.Body.String())
+		}
+	}
+	if list := decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", "")); len(list) != 0 {
+		t.Fatalf("list %+v, want no dataset", list)
+	}
+	// The size the benchmark registers stays accepted.
+	if rec := do(t, s.Handler(), "POST", "/datasets", `{"name":"ok","generator":{"dist":"ANTI","n":150,"d":3}}`); rec.Code != http.StatusCreated {
+		t.Fatalf("n=150 d=3: status %d %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestDatasetEndpoints(t *testing.T) {
 	s := New(Config{})
 	// Generator-backed registration.

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"ordu/internal/data"
 	"ordu/internal/geom"
 	"ordu/internal/raceflag"
+	"ordu/internal/rtree"
 )
 
 // qpFallbackInput returns a (w, ri, rj) triple whose perpendicular foot
@@ -79,4 +81,35 @@ func TestMindistWSMatchesMindist(t *testing.T) {
 	if got, want := MindistWS(w2, ri2, rj2, &ws), Mindist(w2, ri2, rj2); got != want { //ordlint:allow floatcmp — bit-identity assertion between two implementations
 		t.Fatalf("fast path: MindistWS = %v, Mindist = %v", got, want)
 	}
+}
+
+// TestIRDAllocsLogarithmicInPushes pins that IRD's set S costs no
+// allocation per scan push: its entries live in slices that grow by
+// doubling, so a query's allocations grow with the log of the pushes. An
+// anticorrelated tree makes IRD push thousands of entries for a handful
+// of releases; the bound sits well below the push count.
+func TestIRDAllocsLogarithmicInPushes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	tree := rtree.BulkLoad(data.Synthetic(data.ANTI, 20000, 3, 1))
+	w := geom.Vector{0.3, 0.3, 0.4}
+	const releases = 90
+	pushes := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		ird := NewIRD(tree, w, 1)
+		for i := 0; i < releases; i++ {
+			if _, ok := ird.Next(); !ok {
+				t.Fatalf("IRD exhausted after %d releases", i)
+			}
+		}
+		pushes = len(ird.entries)
+	})
+	if pushes < 1000 {
+		t.Fatalf("IRD pushed only %d entries; the bound below would not separate per-push from logarithmic growth", pushes)
+	}
+	if limit := float64(pushes) / 10; allocs > limit {
+		t.Fatalf("IRD allocates %.0f times for %d pushes, want at most %.0f", allocs, pushes, limit)
+	}
+	t.Logf("%d pushes, %.0f allocations", pushes, allocs)
 }

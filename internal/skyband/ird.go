@@ -34,8 +34,15 @@ type IRD struct {
 	t       []Member             // fetched k-skyband records, in decreasing score order
 	tRadii  []float64            // inflection radius of each t entry
 	pending xheap.Heap[pendItem] // fetched but not yet released, keyed by inflection radius
-	bounds  xheap.Heap[*boundEntry]
-	live    map[uint64]*boundEntry
+
+	// Set S: one boundEntry per scan push, indexed by push order, and a
+	// min-heap of {bound, index} over them. A scan entry's index is the
+	// index of its node's first pushed entry (base, indexed by NodeRef:
+	// a node's entries are pushed together, in slot order, when it is
+	// expanded) plus its slot.
+	entries []boundEntry
+	bounds  xheap.Heap[boundItem]
+	base    []int
 
 	// ws backs every mindist computation and the per-candidate mindist
 	// buffer; IRD is single-goroutine, so owning one workspace is safe and
@@ -61,38 +68,59 @@ type pendItem struct {
 // Less orders the pending min-heap by inflection radius.
 func (p pendItem) Less(o pendItem) bool { return p.rho < o.rho }
 
+// boundEntry is one scan entry of set S.
 type boundEntry struct {
-	seq      uint64
 	pt       geom.Vector
-	bound    float64
-	tVersion int // size of T when bound was computed
-	dead     bool
+	tVersion int  // size of T when the entry's bound was computed
+	dead     bool // popped by the scan: no longer in S
+}
+
+// boundItem is the bound heap's element: a lower bound on the inflection
+// radius of entries[idx].
+type boundItem struct {
+	bound float64
+	idx   int
 }
 
 // Less orders the bound min-heap by the stored lower bound.
-func (e *boundEntry) Less(o *boundEntry) bool { return e.bound < o.bound }
+func (b boundItem) Less(o boundItem) bool { return b.bound < o.bound }
 
 // NewIRD starts an incremental rho-skyband computation around w.
 func NewIRD(tree *rtree.Tree, w geom.Vector, k int) *IRD {
 	ird := &IRD{
-		w:    w,
-		k:    k,
-		pr:   NewSkybandPruner(k),
-		live: make(map[uint64]*boundEntry),
+		w:  w,
+		k:  k,
+		pr: NewSkybandPruner(k),
 	}
 	ird.sc = NewScanner(tree, w)
-	ird.sc.onPush = func(e *scanEntry) {
-		be := &boundEntry{seq: e.seq, pt: e.pt}
-		ird.live[e.seq] = be
-		ird.bounds.Push(be)
-	}
-	ird.sc.onPop = func(e *scanEntry) {
-		if be, ok := ird.live[e.seq]; ok {
-			be.dead = true
-			delete(ird.live, e.seq)
-		}
-	}
+	// The root is pushed before the hooks attach, so it never joins S.
+	ird.sc.onPush = ird.push
+	ird.sc.onPop = ird.pop
 	return ird
+}
+
+// push adds a newly pushed scan entry to S with bound 0.
+func (ird *IRD) push(e scanEntry) {
+	idx := len(ird.entries)
+	if e.slot == 0 {
+		n := int(e.node)
+		if n >= len(ird.base) {
+			//ordlint:allow borrowck — base holds ints; the check counts every field of ird as holding the points stored below
+			ird.base = append(ird.base, make([]int, n+1-len(ird.base))...)
+		}
+		ird.base[n] = idx
+	}
+	p, _ := ird.sc.resolve(e)
+	//ordlint:allow borrowck — IRD is a per-query object: the points it stores never outlive the caller's lock on the tree
+	ird.entries = append(ird.entries, boundEntry{pt: p})
+	ird.bounds.Push(boundItem{idx: idx})
+}
+
+// pop removes a scan entry from S; its bound item is dropped lazily.
+func (ird *IRD) pop(e scanEntry) {
+	if e.node != rtree.NilNode {
+		ird.entries[ird.base[e.node]+int(e.slot)].dead = true
+	}
 }
 
 // inflectionOf computes the inflection radius of p against the current T.
@@ -113,7 +141,10 @@ func (ird *IRD) inflectionOf(p geom.Vector) float64 {
 // of T covers the radii [0, mindist] (all radii, for a dominator); the scan
 // stops at the k-th interval covering x, and the smallest of those k
 // mindists is a lower bound on the k-th largest one, the inflection radius.
-// That bound is at least x, and +Inf when all k are dominators.
+// That bound is at least x, and +Inf when all k are dominators. The exact
+// mindists are needed, not only their comparison with x: the stored bound
+// decides later calls without revalidation, and a weaker (hyperplane
+// distance) bound would send some of them through another fetch.
 func (ird *IRD) boundAtLeast(p geom.Vector, x float64) (float64, bool) {
 	count := 0
 	bound := math.Inf(1)
@@ -141,25 +172,26 @@ func (ird *IRD) boundAtLeast(p geom.Vector, x float64) (float64, bool) {
 // larger) bound it proved so later calls with larger x can skip the entry.
 func (ird *IRD) boundsClear(x float64) bool {
 	for ird.bounds.Len() > 0 {
-		top := *ird.bounds.Peek()
-		if top.dead {
+		top := ird.bounds.Peek()
+		be := &ird.entries[top.idx]
+		if be.dead {
 			ird.bounds.Pop()
 			continue
 		}
 		if top.bound >= x {
 			return true // heap min >= x, so every entry is
 		}
-		if top.tVersion == len(ird.t) {
+		if be.tVersion == len(ird.t) {
 			return false // bound is current and below x
 		}
-		b, ok := ird.boundAtLeast(top.pt, x)
+		b, ok := ird.boundAtLeast(be.pt, x)
 		if !ok {
 			// Genuinely below x at the current T; leave the stored (still
 			// valid) bound in place — the next fetch changes T anyway.
 			return false
 		}
 		top.bound = b // truthful lower bound, proved against current T
-		top.tVersion = len(ird.t)
+		be.tVersion = len(ird.t)
 		ird.bounds.Fix(0)
 	}
 	return true // S is empty: nothing unfetched remains
@@ -176,8 +208,8 @@ func (ird *IRD) fetch() bool {
 	rho := ird.inflectionOf(p)
 	ird.pr.Add(p)
 	m := Member{ID: id, Point: p}
-	ird.t = append(ird.t, m)
-	ird.tRadii = append(ird.tRadii, rho)
+	//ordlint:allow borrowck — per-query object, as in push; tRadii holds floats
+	ird.t, ird.tRadii = append(ird.t, m), append(ird.tRadii, rho)
 	if !math.IsInf(rho, 1) {
 		ird.pending.Push(pendItem{rec: m, rho: rho})
 	}

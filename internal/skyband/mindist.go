@@ -52,6 +52,46 @@ func Mindist(w, ri, rj geom.Vector) float64 {
 //
 //ordlint:noalloc
 func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
+	if d, exact := mindistClosed(w, ri, rj); exact {
+		return d
+	}
+	return mindistProjected(w, ri, rj, ws)
+}
+
+// mindistMargin is the relative margin by which the tie-hyperplane
+// distance must clear rho before MindistAtLeastWS trusts it without the
+// exact projection. The projection is mathematically never shorter than
+// that distance; the margin absorbs the rounding of the two computations.
+const mindistMargin = 1e-9
+
+// MindistAtLeastWS reports MindistWS(w, ri, rj, ws) >= rho, which is all a
+// rho-dominance test needs. When the perpendicular foot leaves the simplex
+// it first checks the unconstrained tie-hyperplane distance, a lower bound
+// on the mindist: if that bound clears rho by mindistMargin (relative), the
+// answer is true without the projection or QP. Otherwise it compares the
+// exact mindist, so the answer always equals the exact comparison.
+//
+//ordlint:noalloc
+func MindistAtLeastWS(w, ri, rj geom.Vector, rho float64, ws *Workspace) bool {
+	d, exact := mindistClosed(w, ri, rj)
+	if exact {
+		return d >= rho
+	}
+	if d >= rho+mindistMargin*math.Abs(rho) {
+		return true
+	}
+	return mindistProjected(w, ri, rj, ws) >= rho
+}
+
+// mindistClosed is MindistWS's O(d) closed-form pass. When it settles the
+// mindist — dominance, a score gap constant over the domain, or a
+// perpendicular foot inside the simplex — it returns it with exact=true.
+// Otherwise it returns the distance from w to the tie hyperplane within
+// the simplex's supporting hyperplane, a lower bound on the mindist, and
+// exact=false: the caller must project (mindistProjected) for the value.
+//
+//ordlint:noalloc
+func mindistClosed(w, ri, rj geom.Vector) (dist float64, exact bool) {
 	d := len(w)
 	// Single allocation-free pass: dominance check, hyperplane coefficient
 	// aggregates (a = ri - rj), and a.w.
@@ -69,7 +109,7 @@ func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
 		a2 += ai * ai
 	}
 	if dominates && strict {
-		return math.Inf(1)
+		return math.Inf(1), true
 	}
 	// Project a onto the simplex's supporting hyperplane sum(v)=1.
 	mean := asum / float64(d)
@@ -78,9 +118,9 @@ func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
 		// a is (numerically) parallel to the all-ones vector: the score gap
 		// is constant over the whole domain.
 		if math.Abs(aw) < 1e-15 {
-			return 0 // identical scores everywhere; degenerate tie
+			return 0, true // identical scores everywhere; degenerate tie
 		}
-		return math.Inf(1)
+		return math.Inf(1), true
 	}
 	// Foot of the perpendicular: v* = w - (aw/proj2) * (a - mean*1).
 	alpha := aw / proj2
@@ -91,11 +131,16 @@ func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
 			break
 		}
 	}
-	dist := math.Abs(aw) / math.Sqrt(proj2)
-	if feasible {
-		return dist
-	}
-	// Foot outside the simplex: exact projection onto the constrained set.
+	return math.Abs(aw) / math.Sqrt(proj2), feasible
+}
+
+// mindistProjected computes the mindist when the perpendicular foot lies
+// outside the simplex: the exact projection of w onto the tie hyperplane
+// within the simplex.
+//
+//ordlint:noalloc
+func mindistProjected(w, ri, rj geom.Vector, ws *Workspace) float64 {
+	d := len(w)
 	if cap(ws.a) < d {
 		ws.a = make([]float64, d)
 	}
@@ -277,5 +322,6 @@ func RhoDominates(w, rj, ri geom.Vector, rho float64) bool {
 	if sj == si && !rj.Dominates(ri) { //ordlint:allow floatcmp — definitional tie guard on identically computed scores
 		return false
 	}
-	return Mindist(w, ri, rj) >= rho
+	var ws Workspace
+	return MindistAtLeastWS(w, ri, rj, rho, &ws)
 }

@@ -19,6 +19,8 @@ type Member struct {
 // strictly positive reference vector, which preserves BBS's correctness
 // invariant that no later record can dominate an earlier one). Members are
 // returned in decreasing score order for the uniform vector.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func KSkyband(tree *rtree.Tree, k int) []Member {
 	d := tree.Dim()
 	w := make(geom.Vector, d)
@@ -32,6 +34,8 @@ func KSkyband(tree *rtree.Tree, k int) []Member {
 // for the given seed; the result set is independent of the seed, but the
 // emission order follows it. The seed's zero components are handled by the
 // scanner's coordinate-sum tie-break.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func KSkybandFor(tree *rtree.Tree, w geom.Vector, k int) []Member {
 	out, _ := KSkybandForCtx(context.Background(), tree, w, k) //ordlint:allow senterr — context.Background never cancels, so the error is structurally nil
 	return out
@@ -42,6 +46,8 @@ func KSkybandFor(tree *rtree.Tree, w geom.Vector, k int) []Member {
 // once the context is done. A k-skyband scan visits the whole index in the
 // worst case, so baselines driving it on behalf of a server request need the
 // same deadline responsiveness as the rho-skyband retrieval.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func KSkybandForCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k int) ([]Member, error) {
 	sc := NewScanner(tree, w)
 	pr := NewSkybandPruner(k)
@@ -64,6 +70,8 @@ func KSkybandForCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k int)
 }
 
 // Skyline computes the traditional skyline (the 1-skyband).
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func Skyline(tree *rtree.Tree) []Member {
 	return KSkyband(tree, 1)
 }
@@ -72,6 +80,8 @@ func Skyline(tree *rtree.Tree) []Member {
 // records rho-dominated by fewer than k others (Definition of Section 3).
 // It is the building block the complete ORD algorithm improves upon, and
 // the reference the tests validate ORD against.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func RhoSkyband(tree *rtree.Tree, w geom.Vector, k int, rho float64) []Member {
 	out, _ := RhoSkybandCtx(context.Background(), tree, w, k, rho) //ordlint:allow senterr — context.Background never cancels, so the error is structurally nil
 	return out
@@ -82,6 +92,8 @@ func RhoSkyband(tree *rtree.Tree, w geom.Vector, k int, rho float64) []Member {
 // once the context is done. The rho-skyband can hold a large fraction of an
 // anticorrelated dataset, making this the longest single phase of ORU — the
 // polling keeps per-request deadlines responsive.
+//
+//ordlint:borrows — members' points alias the tree's packed storage
 func RhoSkybandCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k int, rho float64) ([]Member, error) {
 	sc := NewScanner(tree, w)
 	pr := NewRhoPruner(w, k)
